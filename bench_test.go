@@ -216,7 +216,7 @@ func BenchmarkE23_Rebalance(b *testing.B) {
 	}
 }
 
-// BenchmarkE24_Streaming — internal/fedsql Connector v3: a cold full-table
+// BenchmarkE24_Streaming — internal/fedsql streaming scans: a cold full-table
 // aggregate scan through the pull-based batch-iterator boundary holds one
 // in-flight batch instead of the whole materialized scan result
 // (streaming_mem_reduction ≥10x, gated in benchjson), scans at

@@ -23,7 +23,7 @@
 //	stats: rows_moved=10 fallbacks=0 segments_scanned=8 rows_scanned=20000 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=17000 rows_heap_kept=0 cache_hit=1 coalesced=0 cache_bytes=801 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=0 peak_engine_bytes=390
 //
 // Every plan line carries an exec= token: row scans stream across the
-// connector boundary as column-major batches (Connector v3), so a
+// connector boundary as column-major batches (Connector.OpenScan), so a
 // selection shows exec=streaming with the batch size, and the stats line
 // reports how many batches crossed and the peak engine-resident bytes —
 // one in-flight batch, not the whole materialized result:

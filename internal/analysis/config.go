@@ -117,9 +117,7 @@ func DefaultConfig() *Config {
 			{Pkg: "repro/internal/objstore", Type: "Store",
 				Methods: []string{"Get", "Put", "Delete", "List", "Len"}},
 			{Pkg: "repro/internal/fedsql", Type: "Connector",
-				Methods: []string{"Scan", "AggregateScan"}},
-			{Pkg: "repro/internal/fedsql", Type: "StreamingConnector",
-				Methods: []string{"OpenScan", "OpenAggregateScan"}},
+				Methods: []string{"OpenScan", "AggregateScan"}},
 			{Pkg: "repro/internal/fedsql", Type: "RowIterator",
 				Methods: []string{"Next", "Close"}},
 			{Pkg: "repro/internal/olap", Type: "Broker",
@@ -147,7 +145,7 @@ func DefaultConfig() *Config {
 			"repro/internal/olap/matview",
 		},
 		Iterators: []TypeSpec{
-			// PR 10: the Connector v3 streaming contract — a RowIterator from
+			// The connector streaming contract: a RowIterator from
 			// OpenScan holds broker producers and pooled batches until Close;
 			// a leaked one strands goroutines for the query's lifetime.
 			{Pkg: "repro/internal/fedsql", Name: "RowIterator"},

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// IterClose enforces the Connector v3 streaming contract: a RowIterator
+// IterClose enforces the connector streaming contract: a RowIterator
 // obtained from an opening call must be Closed on every path out of the
 // function that opened it. The check reuses the lock-region shape from
 // lockregion.go — an open starts a "live" region; `defer it.Close()`

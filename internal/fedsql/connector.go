@@ -18,7 +18,7 @@ import (
 
 // ErrPushdownUnsupported is returned by AggregateScan when a connector
 // cannot execute aggregate queries inside its backend. The engine falls
-// back to Scan + engine-side aggregation and counts the fallback in
+// back to OpenScan + engine-side aggregation and counts the fallback in
 // QueryStats.PushdownFallbacks.
 var ErrPushdownUnsupported = errors.New("fedsql: connector does not execute aggregates")
 
@@ -39,7 +39,7 @@ type Capabilities struct {
 	Limit bool
 }
 
-// Pushdown is the row-scan fragment handed to a connector's Scan: a
+// Pushdown is the row-scan fragment handed to a connector's OpenScan: a
 // projection with filters and optional ordering/limit. Aggregations travel
 // separately through AggregateScan. Fields the connector did not advertise
 // are guaranteed empty.
@@ -87,16 +87,15 @@ type QueryStats struct {
 	// none, e.g. the archive).
 	Router string
 	// Streamed marks that the row-scan fragment crossed the connector
-	// boundary as a pull-based batch stream (Connector v3 OpenScan) instead
-	// of one materialized slice — EXPLAIN's exec=streaming vs
+	// boundary as a pull-based batch stream (OpenScan) instead of one
+	// materialized slice (AggregateScan) — EXPLAIN's exec=streaming vs
 	// exec=materialized.
 	Streamed bool
-	// BatchesStreamed counts the batches that crossed the boundary (both
-	// true streams and materialized adapters chunk into batches).
+	// BatchesStreamed counts the batches that crossed the boundary.
 	BatchesStreamed int64
 	// PeakEngineBytes estimates the largest engine-resident row footprint
-	// the query needed at any one moment: the whole scan result for
-	// materialized paths, one in-flight batch for streaming paths.
+	// the query needed at any one moment: the whole result of an aggregate
+	// scan, one in-flight batch (or one decoded archive part) for a stream.
 	PeakEngineBytes int64
 	// Exec carries the backend's execution counters (segment scans, time
 	// pruning, server fan-out, partition pruning) when the backend is the
@@ -129,14 +128,13 @@ func (s *QueryStats) Merge(o QueryStats) {
 	s.Exec.Add(o.Exec)
 }
 
-// Connector is the backend interface (Presto's Connector API). The modern
-// surface is Connector v3 — StreamingConnector's OpenScan/OpenAggregateScan
-// returning pull-based RowIterators (see iterator.go); the slice-returning
-// Scan/AggregateScan here remain as the v2 compatibility contract so
-// out-of-tree connectors keep compiling, and the engine adapts them through
-// a materialized iterator (EXPLAIN's exec=materialized). Connectors that
-// cannot run aggregates return ErrPushdownUnsupported from AggregateScan
-// and let the engine aggregate the scanned rows itself.
+// Connector is the backend interface (Presto's Connector API). Row scans
+// are pull-based batch streams: OpenScan returns a RowIterator (see
+// iterator.go) that the engine drains batch-at-a-time and must Close.
+// Aggregates are pushed whole into the backend through AggregateScan, which
+// returns the small, finalized per-group rows; connectors that cannot run
+// aggregates return ErrPushdownUnsupported and let the engine aggregate the
+// scanned rows itself.
 type Connector interface {
 	// Name returns the catalog name ("pinot", "hive", ...).
 	Name() string
@@ -146,10 +144,11 @@ type Connector interface {
 	Schema(table string) (*metadata.Schema, error)
 	// Capabilities advertises pushdown support, explicitly per fragment.
 	Capabilities() Capabilities
-	// Scan executes the row-scan fragment and returns rows. The context
+	// OpenScan starts the row-scan fragment as a batch stream. The context
 	// carries the federated query's deadline/cancellation into the backend,
-	// so a timed-out query stops scanning inside the OLAP layer too.
-	Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error)
+	// so a timed-out query stops scanning inside the OLAP layer too. With
+	// empty pd.Columns the batches carry every schema column.
+	OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error)
 	// AggregateScan executes a whole aggregate query inside the backend
 	// and returns one row per group, named by SelectItem.OutputName.
 	AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error)
@@ -285,7 +284,7 @@ func (p *PinotConnector) Capabilities() Capabilities {
 	return Capabilities{Filters: true, Aggregations: true, GroupBy: true, OrderBy: true, Limit: true}
 }
 
-// OpenScan implements StreamingConnector: the row-scan fragment becomes an
+// OpenScan implements Connector: the row-scan fragment becomes an
 // OLAP streaming query (Broker.ExecuteStream), so batches flow from the
 // servers' vectorized segment kernels straight to the engine — the first
 // batch arrives while the slowest server is still scanning, and closing
@@ -320,40 +319,6 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 		return nil, err
 	}
 	return &brokerIterator{qs: qs, stats: stats}, nil
-}
-
-// OpenAggregateScan implements StreamingConnector. Aggregate pushdown
-// produces finalized per-group rows — there is nothing to stream until the
-// backend has seen every input row — so this executes eagerly (through the
-// broker's cache, views and admission, exactly like AggregateScan) and
-// chunks the small result.
-func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
-	rows, stats, err := p.AggregateScan(ctx, table, aq)
-	if err != nil {
-		return nil, err
-	}
-	return newMaterializedIterator(rows, aggColumns(aq), stats), nil
-}
-
-// aggColumns is the deterministic column order of an aggregate fragment's
-// result rows: group-by columns, then aggregate output names.
-func aggColumns(aq AggregateQuery) []string {
-	cols := append([]string(nil), aq.GroupBy...)
-	for _, a := range aq.Aggs {
-		cols = append(cols, a.OutputName())
-	}
-	return cols
-}
-
-// Scan implements Connector (v2). It is a thin compatibility adapter that
-// drains OpenScan into the legacy slice shape; new callers should use
-// OpenScan and pull batches.
-func (p *PinotConnector) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
-	it, err := p.OpenScan(ctx, table, pd)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return drainIterator(ctx, it)
 }
 
 // brokerIterator adapts an olap.QueryStream to the RowIterator contract.
@@ -413,7 +378,7 @@ func (b *brokerIterator) Close() error {
 // AggregateScan implements Connector by executing the whole aggregate
 // query in the OLAP layer: servers ship mergeable partial-aggregate states
 // to the broker, and only the finalized per-group rows cross the connector
-// boundary. (v2 surface; OpenAggregateScan wraps this same execution.)
+// boundary.
 func (p *PinotConnector) AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error) {
 	if p.DisablePushdown {
 		return nil, QueryStats{}, ErrPushdownUnsupported
@@ -455,8 +420,9 @@ func (p *PinotConnector) aggQuery(table string, aq AggregateQuery) (*olap.Query,
 	return q, stats, nil
 }
 
-// run executes an OLAP query through the typed v2 broker surface and
-// converts the response into connector rows + unified stats.
+// run executes an OLAP query through the typed broker surface and converts
+// the response into connector rows + unified stats. The finalized rows are
+// the whole engine-resident result, so they are its PeakEngineBytes.
 func (p *PinotConnector) run(ctx context.Context, broker *olap.Broker, q *olap.Query, stats QueryStats) ([]record.Record, QueryStats, error) {
 	resp, err := broker.Execute(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
 	if err != nil {
@@ -474,6 +440,9 @@ func (p *PinotConnector) run(ctx context.Context, broker *olap.Broker, q *olap.Q
 			}
 		}
 		rows[i] = rec
+		for _, v := range rec {
+			stats.PeakEngineBytes += approxValueBytes(v)
+		}
 	}
 	stats.RowsReturned = int64(len(rows))
 	stats.Router = resp.Route.Router
@@ -578,21 +547,110 @@ func (a *ArchiveConnector) Capabilities() Capabilities {
 	}
 }
 
-// Scan implements Connector with a full table read.
-func (a *ArchiveConnector) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
+// OpenScan implements Connector by streaming the dataset's columnar parts
+// one at a time: a part is fetched and decoded only when the previous one
+// is exhausted, and the context is checked before each, so the
+// engine-resident footprint is one decoded part, never the table. Only the
+// projected columns are decoded (every schema column for an empty
+// projection); a projected column the schema lacks reads NULL.
+func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
 	schema, ok := a.schemas[table]
 	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("fedsql: archive table %q not found", table)
+		return nil, fmt.Errorf("fedsql: archive table %q not found", table)
 	}
-	reader := objstore.NewArchiveReader(a.store, table, schema)
-	rows, err := reader.ReadAll()
+	cols := pd.Columns
+	if len(cols) == 0 {
+		cols = schema.FieldNames()
+	}
+	projected := &metadata.Schema{Name: schema.Name}
+	for _, c := range cols {
+		if f, ok := schema.Field(c); ok {
+			projected.Fields = append(projected.Fields, f)
+		}
+	}
+	reader := objstore.NewArchiveReader(a.store, table, projected)
+	parts, err := reader.Parts()
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, err
 	}
-	return rows, QueryStats{RowsReturned: int64(len(rows))}, nil
+	return &archiveIterator{
+		reader: reader,
+		parts:  parts,
+		batch:  Batch{Columns: cols, Cols: make([][]any, len(cols))},
+		stats:  QueryStats{Streamed: true},
+	}, nil
+}
+
+// archiveIterator chunks the decoded archive parts into batches. Errors,
+// including io.EOF, are sticky.
+type archiveIterator struct {
+	reader *objstore.ArchiveReader
+	parts  []string        // part keys not yet decoded
+	rows   []record.Record // the decoded current part
+	pos    int
+	batch  Batch
+	stats  QueryStats
+	err    error
+}
+
+func (it *archiveIterator) Columns() []string { return it.batch.Columns }
+
+func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
+	for it.err == nil && it.pos >= len(it.rows) {
+		it.err = it.nextPart(ctx)
+	}
+	if it.err != nil {
+		return nil, it.err
+	}
+	end := min(it.pos+BatchRows, len(it.rows))
+	for ci, c := range it.batch.Columns {
+		out := it.batch.Cols[ci][:0]
+		for _, r := range it.rows[it.pos:end] {
+			out = append(out, r[c])
+		}
+		it.batch.Cols[ci] = out
+	}
+	it.batch.Len = end - it.pos
+	it.pos = end
+	it.stats.RowsReturned += int64(it.batch.Len)
+	it.stats.BatchesStreamed++
+	return &it.batch, nil
+}
+
+// nextPart decodes the next part in place of the exhausted one, or reports
+// io.EOF when none is left.
+func (it *archiveIterator) nextPart(ctx context.Context) error {
+	if len(it.parts) == 0 {
+		return io.EOF
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	it.rows = nil // let the previous part go before decoding the next
+	rows, err := it.reader.ReadPart(it.parts[0])
+	if err != nil {
+		return err
+	}
+	it.parts = it.parts[1:]
+	it.rows, it.pos = rows, 0
+	var resident int64
+	for _, r := range rows {
+		for _, v := range r {
+			resident += approxValueBytes(v)
+		}
+	}
+	it.stats.PeakEngineBytes = max(it.stats.PeakEngineBytes, resident)
+	return nil
+}
+
+func (it *archiveIterator) Stats() QueryStats { return it.stats }
+
+func (it *archiveIterator) Close() error {
+	it.parts, it.rows = nil, nil
+	if it.err == nil {
+		it.err = io.EOF
+	}
+	return nil
 }
 
 // AggregateScan implements Connector: the archive cannot aggregate, so the

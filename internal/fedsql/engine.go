@@ -125,7 +125,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 }
 
 // QueryCtx parses and executes one SELECT under a caller context. The
-// context flows through every connector Scan, so cancelling it aborts
+// context flows through every connector scan, so cancelling it aborts
 // backend-side work (e.g. the OLAP broker's parallel scatter-gather) too.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparse.Parse(sql)
@@ -454,7 +454,7 @@ func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *s
 // scanTable plans pushdown for a single-table query: aggregate queries go
 // through AggregateScan when the connector declares the needed fragments,
 // falling back to row scan + engine-side aggregation otherwise (counted in
-// QueryStats.PushdownFallbacks); plain selections go through Scan with
+// QueryStats.PushdownFallbacks); plain selections go through OpenScan with
 // filter/projection/order/limit pushdown per capability.
 func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sqlparse.SelectStmt) (*relation, error) {
 	catalog := ref.Qualifier
@@ -504,14 +504,7 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 			}
 			sp, sctx := scanSpan(ctx, catalog, ref.Name, "aggregate-scan")
 			scanStart := time.Now()
-			it, err := openAggregateScan(sctx, conn, ref.Name, aq)
-			var rows []record.Record
-			var stats QueryStats
-			if err == nil {
-				// Aggregate results are per-group rows — small by
-				// construction — so the v3 iterator is drained eagerly.
-				rows, stats, err = drainIterator(sctx, it)
-			}
+			rows, stats, err := conn.AggregateScan(sctx, ref.Name, aq)
 			elapsed := time.Since(scanStart)
 			endScanSpan(sp, rows, err)
 			if err == nil {
@@ -560,13 +553,13 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 	return e.openScanRelation(ctx, conn, catalog, ref.Name, "row-scan", pd, residual, ordered, false)
 }
 
-// openScanRelation opens a v3 row-scan iterator and wraps it as an
+// openScanRelation opens a row-scan iterator and wraps it as an
 // unconsumed streaming relation. The plan line and span close when the
 // consumer drains the iterator (completeScan) — stats exist only then.
 func (e *Engine) openScanRelation(ctx context.Context, conn Connector, catalog, table, kind string, pd Pushdown, residual []sqlparse.Predicate, ordered, fallback bool) (*relation, error) {
 	sp, sctx := scanSpan(ctx, catalog, table, kind)
 	start := time.Now()
-	it, err := openScan(sctx, conn, table, pd)
+	it, err := conn.OpenScan(sctx, table, pd)
 	if err != nil {
 		endScanSpan(sp, nil, err)
 		return nil, err
@@ -581,8 +574,7 @@ func (e *Engine) openScanRelation(ctx context.Context, conn Connector, catalog, 
 		},
 	}
 	// Star projections need a column order before rows exist: the sorted
-	// iterator columns — identical to the legacy sorted-record-keys order
-	// for any column with at least one non-NULL value.
+	// iterator columns.
 	cols := append([]string(nil), it.Columns()...)
 	sort.Strings(cols)
 	rel.cols = cols
@@ -634,7 +626,7 @@ func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed 
 		b.WriteString(" pushdown=none")
 	}
 	// Execution transport across the connector boundary: a pull-based batch
-	// stream (Connector v3 OpenScan) or one materialized slice.
+	// stream (OpenScan) or one materialized slice (AggregateScan).
 	if st.Streamed {
 		fmt.Fprintf(&b, " exec=streaming batch=%d", BatchRows)
 	} else {

@@ -1,7 +1,10 @@
 package fedsql
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/metadata"
@@ -177,6 +180,89 @@ func TestArchiveScanEngineSideAggregation(t *testing.T) {
 	}
 	if total != 120 {
 		t.Errorf("total = %d", total)
+	}
+}
+
+// TestArchiveOpenScanStreamsParts checks the archive's row stream: one
+// part decoded at a time and chunked into BatchRows batches, the projection
+// honoured, schema columns listed for *, ctx checked before each part, and
+// errors sticky.
+func TestArchiveOpenScanStreamsParts(t *testing.T) {
+	schema := ordersSchema()
+	schema.Fields = append(schema.Fields, metadata.Field{Name: "note", Type: metadata.TypeString, Nullable: true})
+	store := objstore.NewMemStore()
+	codec, _ := record.NewCodec(schema)
+	w := objstore.NewRawLogWriter(store, "orders", codec)
+	c := objstore.NewCompactor(store, "orders", codec)
+	parts := [][]record.Record{orderRows(BatchRows + 5), orderRows(10)}
+	for _, p := range parts {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hive := NewArchiveConnector("hive", store)
+	hive.AddTable("orders", schema)
+	ctx := context.Background()
+
+	it, err := hive.OpenScan(ctx, "orders", Pushdown{Columns: []string{"amount", "order_id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var lens []int
+	for {
+		b, err := it.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(b.Columns) != "[amount order_id]" {
+			t.Fatalf("batch columns = %v, want the projection", b.Columns)
+		}
+		lens = append(lens, b.Len)
+	}
+	if fmt.Sprint(lens) != fmt.Sprint([]int{BatchRows, 5, 10}) {
+		t.Fatalf("batch lengths = %v, want parts chunked by BatchRows", lens)
+	}
+	var partBytes int64 // the larger part's projected values
+	for _, r := range parts[0] {
+		partBytes += approxValueBytes(r["amount"]) + approxValueBytes(r["order_id"])
+	}
+	st := it.Stats()
+	if !st.Streamed || st.RowsReturned != BatchRows+15 || st.BatchesStreamed != 3 || st.PeakEngineBytes != partBytes {
+		t.Fatalf("stats = %+v, want streamed, %d rows, 3 batches, peak %d", st, BatchRows+15, partBytes)
+	}
+	if _, err := it.Next(ctx); err != io.EOF {
+		t.Fatalf("Next after EOF = %v, want sticky io.EOF", err)
+	}
+
+	// An empty projection reads every schema column, NULL-only ones too.
+	e := NewEngine()
+	e.Register(hive)
+	res, err := e.Query("SELECT * FROM hive.orders LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Columns) != "[amount city note order_id ts]" {
+		t.Fatalf("star columns = %v, want every schema column", res.Columns)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	it, err = hive.OpenScan(ctx, "orders", Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := it.Next(cctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Next %d under a cancelled ctx = %v, want sticky context.Canceled", i, err)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package fedsql
 
 import (
 	"context"
-	"io"
-	"sort"
 
 	"repro/internal/record"
 )
@@ -23,8 +21,7 @@ type Batch struct {
 	Len     int
 }
 
-// Record copies batch row r into a record, omitting NULLs — the same shape
-// the legacy slice surface produced, so adapters stay byte-identical.
+// Record copies batch row r into a record, omitting NULLs.
 func (b *Batch) Record(r int) record.Record {
 	rec := make(record.Record, len(b.Columns))
 	for ci, c := range b.Columns {
@@ -55,7 +52,7 @@ func approxValueBytes(v any) int64 {
 	return word
 }
 
-// RowIterator is the Connector v3 contract: a pull-based stream of row
+// RowIterator is a connector's row scan: a pull-based stream of row
 // batches. Exactly one consumer calls Next until io.EOF (or an error) and
 // must Close on every path — Close is idempotent, safe mid-stream, and
 // releases backend resources (the repolint iterclose analyzer enforces the
@@ -71,154 +68,4 @@ type RowIterator interface {
 	Stats() QueryStats
 	// Close releases the iterator. Idempotent; required on all paths.
 	Close() error
-}
-
-// StreamingConnector is Connector v3: backends that can produce results as
-// batch iterators implement it alongside the legacy slice surface. The
-// engine type-asserts for it and falls back to wrapping Scan/AggregateScan
-// in a materialized iterator (EXPLAIN's exec=materialized) otherwise.
-type StreamingConnector interface {
-	Connector
-	// OpenScan starts the row-scan fragment as a batch stream.
-	OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error)
-	// OpenAggregateScan starts a whole aggregate query; backends that
-	// cannot aggregate return ErrPushdownUnsupported, like AggregateScan.
-	// Aggregate results are finalized rows, so the iterator typically wraps
-	// a materialized result.
-	OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error)
-}
-
-// openScan returns the v3 iterator for a row scan: the connector's own
-// stream when it implements StreamingConnector, a materialized adapter over
-// Scan otherwise.
-func openScan(ctx context.Context, conn Connector, table string, pd Pushdown) (RowIterator, error) {
-	if sc, ok := conn.(StreamingConnector); ok {
-		return sc.OpenScan(ctx, table, pd)
-	}
-	rows, stats, err := conn.Scan(ctx, table, pd)
-	if err != nil {
-		return nil, err
-	}
-	return newMaterializedIterator(rows, pd.Columns, stats), nil
-}
-
-// openAggregateScan is openScan's aggregate-query counterpart.
-func openAggregateScan(ctx context.Context, conn Connector, table string, aq AggregateQuery) (RowIterator, error) {
-	if sc, ok := conn.(StreamingConnector); ok {
-		return sc.OpenAggregateScan(ctx, table, aq)
-	}
-	rows, stats, err := conn.AggregateScan(ctx, table, aq)
-	if err != nil {
-		return nil, err
-	}
-	return newMaterializedIterator(rows, nil, stats), nil
-}
-
-// drainIterator consumes an iterator to completion into the legacy slice
-// shape — the compatibility adapter behind the v2 Scan methods. Whatever
-// the backend streamed, the caller receives a materialized result, so the
-// stats say so: Streamed is cleared and PeakEngineBytes covers the whole
-// slice now resident in memory.
-func drainIterator(ctx context.Context, it RowIterator) ([]record.Record, QueryStats, error) {
-	defer it.Close()
-	var rows []record.Record
-	for {
-		b, err := it.Next(ctx)
-		if err == io.EOF {
-			stats := it.Stats()
-			stats.Streamed = false
-			stats.BatchesStreamed = 0
-			var total int64
-			for _, r := range rows {
-				for _, v := range r {
-					total += approxValueBytes(v)
-				}
-			}
-			if total > stats.PeakEngineBytes {
-				stats.PeakEngineBytes = total
-			}
-			return rows, stats, nil
-		}
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		for r := 0; r < b.Len; r++ {
-			rows = append(rows, b.Record(r))
-		}
-	}
-}
-
-// materializedIterator adapts a fully-materialized []record.Record result
-// to the RowIterator contract, chunking it into batches. It reports
-// exec=materialized (Streamed stays false) and its PeakEngineBytes is the
-// whole result — the slice existed in memory before the first batch was
-// pulled, which is exactly what streaming connectors avoid.
-type materializedIterator struct {
-	cols  []string
-	rows  []record.Record
-	pos   int
-	stats QueryStats
-	batch Batch
-}
-
-// newMaterializedIterator wraps rows. cols fixes the column order; when
-// empty it is derived as the sorted union of record keys (the same star
-// order the legacy engine path produced).
-func newMaterializedIterator(rows []record.Record, cols []string, stats QueryStats) *materializedIterator {
-	if len(cols) == 0 {
-		seen := map[string]bool{}
-		for _, r := range rows {
-			for k := range r {
-				seen[k] = true
-			}
-		}
-		cols = make([]string, 0, len(seen))
-		for k := range seen {
-			cols = append(cols, k)
-		}
-		sort.Strings(cols)
-	}
-	for _, r := range rows {
-		for _, v := range r {
-			stats.PeakEngineBytes += approxValueBytes(v)
-		}
-	}
-	return &materializedIterator{cols: cols, rows: rows, stats: stats}
-}
-
-func (m *materializedIterator) Columns() []string { return m.cols }
-
-func (m *materializedIterator) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if m.pos >= len(m.rows) {
-		return nil, io.EOF
-	}
-	end := m.pos + BatchRows
-	if end > len(m.rows) {
-		end = len(m.rows)
-	}
-	if m.batch.Cols == nil {
-		m.batch = Batch{Columns: m.cols, Cols: make([][]any, len(m.cols))}
-	}
-	for ci, c := range m.cols {
-		out := m.batch.Cols[ci][:0]
-		for _, r := range m.rows[m.pos:end] {
-			out = append(out, r[c])
-		}
-		m.batch.Cols[ci] = out
-	}
-	m.batch.Len = end - m.pos
-	m.stats.BatchesStreamed++
-	m.pos = end
-	return &m.batch, nil
-}
-
-func (m *materializedIterator) Stats() QueryStats { return m.stats }
-
-func (m *materializedIterator) Close() error {
-	m.rows = nil
-	m.pos = 0
-	return nil
 }

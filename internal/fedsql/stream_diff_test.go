@@ -1,14 +1,15 @@
 package fedsql
 
 // Randomized differential harness for the streaming execution path: every
-// query shape runs once through the Connector v3 batch-iterator surface and
-// once through the legacy materialized surface (the same connector with its
-// streaming methods hidden), and the results must be byte-identical after
-// canonical serialization. Unordered results are compared as sorted
-// multisets — the row set is deterministic, the arrival order across
-// concurrent segment producers is not; ORDER BY results compare in exact
-// order. Amounts are quarter-valued so float aggregation is exact and
-// order-independent.
+// query shape runs once against the OLAP deployment through the Pinot
+// connector and once against an independent reference — the same rows
+// archived into columnar parts and served by an ArchiveConnector, so the
+// engine evaluates every filter and aggregate itself — and the results must
+// be byte-identical after canonical serialization. Unordered results are
+// compared as sorted multisets — the row set is deterministic, the arrival
+// order across concurrent segment producers is not; ORDER BY results
+// compare in exact order. Amounts are quarter-valued so float aggregation
+// is exact and order-independent.
 
 import (
 	"context"
@@ -47,10 +48,7 @@ func diffSchema() *metadata.Schema {
 var diffCities = []string{"sf", "nyc", "la", "chi"}
 
 // diffRows generates n random rows. Nullable columns are NULL with real
-// probability, but row 0 carries every column so each column has at least
-// one non-NULL value — the condition under which the streaming star
-// projection (sorted schema columns) matches the legacy star projection
-// (sorted union of record keys).
+// probability, but row 0 carries every column.
 func diffRows(rng *rand.Rand, n int) []record.Record {
 	rows := make([]record.Record, n)
 	for i := range rows {
@@ -72,14 +70,13 @@ func diffRows(rng *rand.Rand, n int) []record.Record {
 	return rows
 }
 
-// v2Conn hides a connector's streaming surface: the engine's openScan
-// type-assertion fails and every scan goes through the materialized
-// adapter. This is the differential baseline.
-type v2Conn struct{ Connector }
+// diffPartRows is the row count of one reference archive part: small, so
+// the reference scan streams many parts.
+const diffPartRows = 128
 
-// buildDiffEngines returns the same data behind two engines: one on the
-// full v3 surface, one forced through the materialized path.
-func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool) (streaming, materialized *Engine, servers []*olap.Server) {
+// buildDiffEngines returns the same data behind two engines, both with the
+// catalog "pinot": the OLAP deployment, and the archive reference.
+func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool) (streaming, reference *Engine, servers []*olap.Server) {
 	t.Helper()
 	servers = []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")}
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
@@ -95,7 +92,8 @@ func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range diffRows(rng, n) {
+	rows := diffRows(rng, n)
+	for i, r := range rows {
 		if err := d.Ingest(i%2, r); err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +115,28 @@ func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool)
 	hive := NewArchiveConnector("hive", store)
 	hive.AddTable("cities", citiesSchema())
 
+	archive := objstore.NewMemStore()
+	eventsCodec, _ := record.NewCodec(diffSchema())
+	ew := objstore.NewRawLogWriter(archive, "events", eventsCodec)
+	compactor := objstore.NewCompactor(archive, "events", eventsCodec)
+	for lo := 0; lo < n; lo += diffPartRows {
+		if err := ew.Append(rows[lo:min(lo+diffPartRows, n)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := compactor.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := NewArchiveConnector("pinot", archive)
+	ref.AddTable("events", diffSchema())
+
 	streaming = NewEngine()
 	streaming.Register(pinot)
 	streaming.Register(hive)
-	materialized = NewEngine()
-	materialized.Register(&v2Conn{Connector: pinot})
-	materialized.Register(hive)
-	return streaming, materialized, servers
+	reference = NewEngine()
+	reference.Register(ref)
+	reference.Register(hive)
+	return streaming, reference, servers
 }
 
 // serializeRows renders every row to a canonical byte form.
@@ -136,30 +149,30 @@ func serializeRows(res *Result) []string {
 }
 
 // diffQuery runs sql through both engines and fails on any divergence.
-func diffQuery(t *testing.T, streaming, materialized *Engine, sql string, ordered, wantStreamed bool) {
+func diffQuery(t *testing.T, streaming, reference *Engine, sql string, ordered, wantStreamed bool) {
 	t.Helper()
 	sRes, err := streaming.Query(sql)
 	if err != nil {
 		t.Fatalf("streaming %q: %v", sql, err)
 	}
-	mRes, err := materialized.Query(sql)
+	rRes, err := reference.Query(sql)
 	if err != nil {
-		t.Fatalf("materialized %q: %v", sql, err)
+		t.Fatalf("reference %q: %v", sql, err)
 	}
-	if fmt.Sprintf("%q", sRes.Columns) != fmt.Sprintf("%q", mRes.Columns) {
-		t.Fatalf("%q: columns diverge\nstreaming    %q\nmaterialized %q", sql, sRes.Columns, mRes.Columns)
+	if fmt.Sprintf("%q", sRes.Columns) != fmt.Sprintf("%q", rRes.Columns) {
+		t.Fatalf("%q: columns diverge\nstreaming %q\nreference %q", sql, sRes.Columns, rRes.Columns)
 	}
-	sRows, mRows := serializeRows(sRes), serializeRows(mRes)
+	sRows, rRows := serializeRows(sRes), serializeRows(rRes)
 	if !ordered {
 		sort.Strings(sRows)
-		sort.Strings(mRows)
+		sort.Strings(rRows)
 	}
-	if len(sRows) != len(mRows) {
-		t.Fatalf("%q: row count diverges: streaming %d, materialized %d", sql, len(sRows), len(mRows))
+	if len(sRows) != len(rRows) {
+		t.Fatalf("%q: row count diverges: streaming %d, reference %d", sql, len(sRows), len(rRows))
 	}
 	for i := range sRows {
-		if sRows[i] != mRows[i] {
-			t.Fatalf("%q: row %d diverges\nstreaming    %s\nmaterialized %s", sql, i, sRows[i], mRows[i])
+		if sRows[i] != rRows[i] {
+			t.Fatalf("%q: row %d diverges\nstreaming %s\nreference %s", sql, i, sRows[i], rRows[i])
 		}
 	}
 	if wantStreamed {
@@ -167,9 +180,6 @@ func diffQuery(t *testing.T, streaming, materialized *Engine, sql string, ordere
 			t.Fatalf("%q: streaming engine did not stream (streamed=%v batches=%d)",
 				sql, sRes.Stats.Streamed, sRes.Stats.BatchesStreamed)
 		}
-	}
-	if mRes.Stats.Streamed {
-		t.Fatalf("%q: materialized baseline reports Streamed", sql)
 	}
 }
 
@@ -181,13 +191,13 @@ func TestStreamDifferential(t *testing.T) {
 			name = "scan-only"
 		}
 		t.Run(name, func(t *testing.T) {
-			streaming, materialized, _ := buildDiffEngines(t, rng, 600, dp)
+			streaming, reference, _ := buildDiffEngines(t, rng, 600, dp)
 			for trial := 0; trial < 4; trial++ {
 				x := float64(rng.Intn(400)) / 4
 				city := diffCities[rng.Intn(len(diffCities))]
 				k := 5 + rng.Intn(40)
-				// Selections stream on the v3 path in both modes; aggregates
-				// stream only when pushdown is off (scan + engine-side agg).
+				// Selections stream in both modes; aggregates stream only
+				// when pushdown is off (scan + engine-side agg).
 				shapes := []struct {
 					sql          string
 					ordered      bool
@@ -202,7 +212,7 @@ func TestStreamDifferential(t *testing.T) {
 					{fmt.Sprintf("SELECT o.id, o.city, c.region FROM pinot.events o JOIN hive.cities c ON o.city = c.city WHERE o.amount > %v", x), false, true},
 				}
 				for _, s := range shapes {
-					diffQuery(t, streaming, materialized, s.sql, s.ordered, s.wantStreamed)
+					diffQuery(t, streaming, reference, s.sql, s.ordered, s.wantStreamed)
 				}
 			}
 			// Unordered LIMIT picks an arbitrary subset per arrival order;
@@ -211,12 +221,12 @@ func TestStreamDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mRes, err := materialized.Query("SELECT id FROM pinot.events LIMIT 17")
+			rRes, err := reference.Query("SELECT id FROM pinot.events LIMIT 17")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(sRes.Rows) != 17 || len(mRes.Rows) != 17 {
-				t.Fatalf("LIMIT rows: streaming %d, materialized %d, want 17", len(sRes.Rows), len(mRes.Rows))
+			if len(sRes.Rows) != 17 || len(rRes.Rows) != 17 {
+				t.Fatalf("LIMIT rows: streaming %d, reference %d, want 17", len(sRes.Rows), len(rRes.Rows))
 			}
 		})
 	}
@@ -252,10 +262,7 @@ func TestStreamDiffCancelMidQuery(t *testing.T) {
 func TestOpenScanCloseMidStreamNoLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	streaming, _, _ := buildDiffEngines(t, rng, 2000, false)
-	conn, ok := streaming.connectors["pinot"].(StreamingConnector)
-	if !ok {
-		t.Fatal("pinot connector is not streaming")
-	}
+	conn := streaming.connectors["pinot"]
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		it, err := conn.OpenScan(context.Background(), "events", Pushdown{})
@@ -281,7 +288,7 @@ func TestOpenScanCloseMidStreamNoLeak(t *testing.T) {
 func TestOpenScanContextCancelSticky(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	streaming, _, _ := buildDiffEngines(t, rng, 2000, false)
-	conn := streaming.connectors["pinot"].(StreamingConnector)
+	conn := streaming.connectors["pinot"]
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	it, err := conn.OpenScan(ctx, "events", Pushdown{})

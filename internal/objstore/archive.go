@@ -71,18 +71,22 @@ func decodeRawBatch(codec *record.Codec, data []byte) ([]record.Record, error) {
 		return nil, fmt.Errorf("objstore: corrupt raw batch header")
 	}
 	data = data[n:]
+	// Every record carries at least its one-byte length prefix.
+	if count > uint64(len(data)) {
+		return nil, fmt.Errorf("objstore: corrupt raw batch header")
+	}
 	out := make([]record.Record, 0, count)
 	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(l) {
+		payload, rest, ok := readBytes(data)
+		if !ok {
 			return nil, fmt.Errorf("objstore: corrupt raw batch record %d", i)
 		}
-		r, err := codec.Decode(data[n : n+int(l)])
+		r, err := codec.Decode(payload)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-		data = data[n+int(l):]
+		data = rest
 	}
 	return out, nil
 }
@@ -291,7 +295,21 @@ func encodeColumn(f metadata.Field, rows []record.Record) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeColumnar parses a columnar part produced by EncodeColumnar.
+// readBytes splits a uvarint-length-prefixed byte string off the front of
+// data. The length is checked against the bytes that remain, so a corrupt
+// length can neither overflow int nor reach past the buffer.
+func readBytes(data []byte) (b, rest []byte, ok bool) {
+	l, n := binary.Uvarint(data)
+	if n <= 0 || l > uint64(len(data)-n) {
+		return nil, nil, false
+	}
+	return data[n : n+int(l)], data[n+int(l):], true
+}
+
+// DecodeColumnar parses a columnar part produced by EncodeColumnar. Parts
+// come from the deep store, so every count and length is checked against
+// the bytes that remain before anything is allocated: corrupt input is an
+// error, never a panic or an outsized allocation.
 func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, error) {
 	nRows, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -303,23 +321,26 @@ func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, erro
 		return nil, fmt.Errorf("objstore: corrupt columnar header")
 	}
 	data = data[n:]
+	// Each column takes at least two length bytes and carries a presence
+	// bitmap of one bit per row.
+	if nCols > uint64(len(data))/2 || nRows > 8*uint64(len(data)) {
+		return nil, fmt.Errorf("objstore: corrupt columnar header (%d rows, %d columns in %d bytes)", nRows, nCols, len(data))
+	}
 	rows := make([]record.Record, nRows)
 	for i := range rows {
-		rows[i] = make(record.Record, nCols)
+		rows[i] = make(record.Record, len(schema.Fields))
 	}
 	for c := uint64(0); c < nCols; c++ {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(l) {
+		nameBytes, rest, ok := readBytes(data)
+		if !ok {
 			return nil, fmt.Errorf("objstore: corrupt column name")
 		}
-		name := string(data[n : n+int(l)])
-		data = data[n+int(l):]
-		colLen, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(colLen) {
+		name := string(nameBytes)
+		col, rest, ok := readBytes(rest)
+		if !ok {
 			return nil, fmt.Errorf("objstore: corrupt column %q", name)
 		}
-		col := data[n : n+int(colLen)]
-		data = data[n+int(colLen):]
+		data = rest
 		f, ok := schema.Field(name)
 		if !ok {
 			continue // column dropped from schema; skip
@@ -380,14 +401,18 @@ func decodeColumn(f metadata.Field, col []byte, rows []record.Record) error {
 			return fmt.Errorf("objstore: truncated dictionary for %q", f.Name)
 		}
 		col = col[n:]
+		// Every entry carries at least its one-byte length prefix.
+		if dictSize > uint64(len(col)) {
+			return fmt.Errorf("objstore: truncated dictionary for %q", f.Name)
+		}
 		dict := make([]string, dictSize)
 		for d := range dict {
-			l, n := binary.Uvarint(col)
-			if n <= 0 || len(col[n:]) < int(l) {
+			entry, rest, ok := readBytes(col)
+			if !ok {
 				return fmt.Errorf("objstore: truncated dictionary entry for %q", f.Name)
 			}
-			dict[d] = string(col[n : n+int(l)])
-			col = col[n+int(l):]
+			dict[d] = string(entry)
+			col = rest
 		}
 		for i := range rows {
 			if !present(i) {
@@ -405,14 +430,14 @@ func decodeColumn(f metadata.Field, col []byte, rows []record.Record) error {
 			if !present(i) {
 				continue
 			}
-			l, n := binary.Uvarint(col)
-			if n <= 0 || len(col[n:]) < int(l) {
+			b, rest, ok := readBytes(col)
+			if !ok {
 				return fmt.Errorf("objstore: truncated bytes column %q", f.Name)
 			}
-			b := make([]byte, l)
-			copy(b, col[n:n+int(l)])
-			rows[i][f.Name] = b
-			col = col[n+int(l):]
+			v := make([]byte, len(b))
+			copy(v, b)
+			rows[i][f.Name] = v
+			col = rest
 		}
 	}
 	return nil

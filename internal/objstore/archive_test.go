@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -252,4 +253,67 @@ func TestColumnarProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// fuzzRows derives archiveSchema rows from fuzz input, four bytes a row,
+// with the nullable columns present or NULL by the input's bits.
+func fuzzRows(data []byte) []record.Record {
+	var rows []record.Record
+	for ; len(data) >= 4; data = data[4:] {
+		c := data[:4]
+		r := record.Record{
+			"id":     int64(int8(c[0])) * 1_000_003,
+			"city":   fmt.Sprintf("c%d", c[1]%8),
+			"amount": float64(int8(c[2])) / 4,
+			"rush":   c[3]&1 == 1,
+			"ts":     int64(c[0]) << 40,
+		}
+		if c[3]&2 != 0 {
+			r["note"] = string(c[1:3])
+		}
+		if c[3]&4 != 0 {
+			r["payload"] = append([]byte{}, c[:c[3]%5]...)
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// FuzzDecodeColumnar: archive parts are read back from the deep store, so
+// DecodeColumnar must turn any corrupt input into an error, never a panic,
+// and every EncodeColumnar output must round-trip exactly.
+func FuzzDecodeColumnar(f *testing.F) {
+	s := archiveSchema()
+	valid, err := EncodeColumnar(s, orderRows(20))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	// A row count that would size a slice past the address space.
+	huge := binary.AppendUvarint(nil, 1<<62)
+	f.Add(append(binary.AppendUvarint(huge, 1), 0, 0))
+	// A column-name length that overflows int.
+	name := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1)
+	f.Add(append(binary.AppendUvarint(name, 1<<63), "id"...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		DecodeColumnar(s, data) // corrupt input: an error is fine, a panic is not
+
+		rows := fuzzRows(data)
+		enc, err := EncodeColumnar(s, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeColumnar(s, enc)
+		if err != nil {
+			t.Fatalf("valid part rejected: %v", err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
+		}
+		for i := range rows {
+			if !reflect.DeepEqual(map[string]any(got[i]), map[string]any(rows[i])) {
+				t.Fatalf("row %d:\n got %v\nwant %v", i, got[i], rows[i])
+			}
+		}
+	})
 }

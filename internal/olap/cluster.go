@@ -719,9 +719,6 @@ type Deployment struct {
 	ingested     int64
 	sealed       int64
 	uploadErrors int64
-	// lastIngestNanos is the wall time of the latest ingested row, for
-	// freshness measurement.
-	lastIngestNanos int64
 
 	// gen is the table's mutation fingerprint: bumped by every ingest,
 	// seal, compaction, offload, drop and recovery (reads stay lock-free on
@@ -1036,7 +1033,6 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 	}
 	d.ingested++
 	d.ingestRows.Inc()
-	d.lastIngestNanos = time.Now().UnixNano()
 	needSeal := len(ms.rows) >= d.cfg.SegmentRows
 	// The bump (and hook delivery) happens inside the same critical section
 	// that made the row visible, so the generation totally orders this

@@ -109,12 +109,17 @@ func PlanSticky(state ClusterState) Plan {
 		}
 	}
 
+	// The sticky core's tie-breaks follow input order, so fix it: callers
+	// build Segments from map iteration.
+	segs := append([]SegmentState(nil), state.Segments...)
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Name < segs[j].Name })
+
 	current := make(map[string][]slotKey)
 	var items []slotKey
 	prev := make(map[slotKey]int)
-	segOf := make(map[string]SegmentState, len(state.Segments))
+	segOf := make(map[string]SegmentState, len(segs))
 	slots := 0
-	for _, seg := range state.Segments {
+	for _, seg := range segs {
 		segOf[seg.Name] = seg
 		pinHeld := seg.Pin >= 0 && !active[seg.Pin] // anchor to a lost owner: hold slot 0 in place
 		for i, r := range seg.Replicas {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -101,6 +103,27 @@ func TestStableClusterPlansNothing(t *testing.T) {
 	plan := PlanSticky(cluster(3, nil, segs...))
 	if len(plan.Moves) != 0 {
 		t.Fatalf("balanced cluster planned %d moves: %+v", len(plan.Moves), plan.Moves)
+	}
+}
+
+// TestPlanIndependentOfSegmentOrder: callers build ClusterState.Segments
+// from map iteration, so the same cluster in any segment order must yield
+// the same plan.
+func TestPlanIndependentOfSegmentOrder(t *testing.T) {
+	var segs []SegmentState
+	for i := 0; i < 24; i++ {
+		segs = append(segs, seg(fmt.Sprintf("s%02d", i), 2, i%3, (i+1)%3))
+	}
+	// Scale out from 3 to 5 servers while server 1 leaves: both orphans
+	// and overload re-home, so tie-breaks between equal candidates matter.
+	want := PlanSticky(cluster(5, []int{1}, segs...))
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		shuffled := append([]SegmentState(nil), segs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := PlanSticky(cluster(5, []int{1}, shuffled...)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: plan depends on segment order\ngot  %+v\nwant %+v", trial, got.Moves, want.Moves)
+		}
 	}
 }
 

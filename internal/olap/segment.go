@@ -180,9 +180,6 @@ type IndexConfig struct {
 	SortedColumn string
 	// StarTree enables the star-tree pre-aggregation index.
 	StarTree *StarTreeConfig
-	// NoDictionary disables nothing here (dictionaries are always on);
-	// reserved for parity with Pinot configs.
-	NoDictionary bool
 }
 
 func (ic IndexConfig) inverted(col string) bool {

@@ -94,9 +94,13 @@ func planTopK(q *Query, trimSize int) *topKPlan {
 
 // orderComparator builds the full ORDER BY comparator over result rows with
 // the given columns. Reports false when an ORDER BY column is absent from
-// the row shape (callers then fall back to untrimmed execution).
+// the row shape (callers then fall back to untrimmed execution). Rows tied
+// on every ORDER BY term are ordered by their remaining columns, ascending:
+// the order is total, so segment heaps, server trims and the final sort
+// pick the same rows whatever order they arrive in.
 func orderComparator(q *Query, cols []string) (func(a, b []any) int, bool) {
 	idx := make([]int, len(q.OrderBy))
+	ordered := make([]bool, len(cols))
 	for i, o := range q.OrderBy {
 		idx[i] = -1
 		for ci, c := range cols {
@@ -106,6 +110,13 @@ func orderComparator(q *Query, cols []string) (func(a, b []any) int, bool) {
 		}
 		if idx[i] < 0 {
 			return nil, false
+		}
+		ordered[idx[i]] = true
+	}
+	var rest []int
+	for ci := range cols {
+		if !ordered[ci] {
+			rest = append(rest, ci)
 		}
 	}
 	return func(a, b []any) int {
@@ -118,6 +129,11 @@ func orderComparator(q *Query, cols []string) (func(a, b []any) int, bool) {
 				return -cmp
 			}
 			return cmp
+		}
+		for _, ci := range rest {
+			if cmp := record.Compare(a[ci], b[ci]); cmp != 0 {
+				return cmp
+			}
 		}
 		return 0
 	}, true
